@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..digital.clock import Clock, PhaseActivator
-from ..digital.synchronizer import TwoFlopSynchronizer
+from ..digital.synchronizer import SynchronizerBank, TwoFlopSynchronizer
 from ..sim.core import Simulator
 from ..sim.signal import ANY, RISE, Signal
 from ..sim.units import NS, period_of
@@ -94,20 +94,17 @@ class SyncMultiphaseController:
         self.activator = PhaseActivator(sim, "activator", n_phases,
                                         self.params.phase_dwell, trace=trace)
 
-        sck = self.sync_clk.signal
-        self._sync: Dict[str, TwoFlopSynchronizer] = {
-            "hl": TwoFlopSynchronizer(sim, "sync_hl", sensors.hl.output, sck,
-                                      trace=trace),
-            "uv": TwoFlopSynchronizer(sim, "sync_uv", sensors.uv.output, sck,
-                                      trace=trace),
-            "ov": TwoFlopSynchronizer(sim, "sync_ov", sensors.ov.output, sck,
-                                      trace=trace),
-        }
+        # One bank over every raw comparator output (hl, uv, ov, then
+        # oc_k / zc_k per phase): one sync-clock listener, one settle
+        # event per edge.
+        self._bank = SynchronizerBank(sim, "sync", self.sync_clk.signal,
+                                      trace=trace)
+        raw = [("hl", sensors.hl), ("uv", sensors.uv), ("ov", sensors.ov)]
         for k in range(n_phases):
-            self._sync[f"oc{k}"] = TwoFlopSynchronizer(
-                sim, f"sync_oc{k}", sensors.oc[k].output, sck, trace=trace)
-            self._sync[f"zc{k}"] = TwoFlopSynchronizer(
-                sim, f"sync_zc{k}", sensors.zc[k].output, sck, trace=trace)
+            raw += [(f"oc{k}", sensors.oc[k]), (f"zc{k}", sensors.zc[k])]
+        self._sync: Dict[str, TwoFlopSynchronizer] = {
+            key: self._bank.add(f"sync_{key}", comp.output)
+            for key, comp in raw}
 
         self._state = [_PhaseState() for _ in range(n_phases)]
         self._uv_fresh = False
@@ -159,9 +156,8 @@ class SyncMultiphaseController:
             self._step_phase(k)
         if not self._gating:
             return
-        for sync in self._sync.values():
-            if not sync.settled:
-                return
+        if not self._bank.settled:
+            return
         if not self._acted:
             self._maybe_gate()
         # Even while the FSM itself stays busy (deadline holds, ack
@@ -334,7 +330,7 @@ class SyncMultiphaseController:
     # ------------------------------------------------------------------
     def metastable_events(self) -> int:
         """Total synchronizer first-flop setup violations observed."""
-        return sum(s.metastable_events for s in self._sync.values())
+        return self._bank.total_metastable_events()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SyncMultiphaseController(n={self.n_phases}, "

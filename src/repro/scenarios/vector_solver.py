@@ -403,18 +403,27 @@ class VectorizedSolver:
         sims = self.sims
         queues = [sim._queue for sim in sims]
 
-        # Lazy min-heap of (next event time, lane): one comparison per tick
-        # instead of a scan over every lane.  Entries may be stale (events
-        # fire or get cancelled); each pop re-checks the lane's real queue.
-        # Lanes only gain events while their own handlers run or when the
-        # comparator bank schedules an edge — the on_schedule hook covers
-        # the latter, the post-run re-push the former.
-        heads = [(q[0][0], i) for i, q in enumerate(queues) if q]
+        # Min-heap of (next event time, lane) with one live entry per
+        # lane: ``head[i]`` is the time of lane i's live entry (its real
+        # queue head, inf when empty); an entry whose time differs is
+        # stale and dropped on pop.  Lanes only gain events while their
+        # own handlers run or when the comparator bank schedules an edge
+        # — the on_schedule hook pushes only an edge that beats the live
+        # head, and a lane that ran refreshes its entry from its queue.
+        # Lanes are independent simulators, so the order lanes run in
+        # within one tick cannot change any lane's history.
+        inf = float("inf")
+        head = [q[0][0] if q else inf for q in queues]
+        heads = [(h, i) for i, h in enumerate(head) if h != inf]
         heapq.heapify(heads)
         push = heapq.heappush
         pop = heapq.heappop
         if bank is not None:
-            bank.on_schedule = lambda lane, when: push(heads, (when, lane))
+            def on_schedule(lane: int, when: float) -> None:
+                if when < head[lane]:
+                    head[lane] = when
+                    push(heads, (when, lane))
+            bank.on_schedule = on_schedule
         ticks = 0
         try:
             while True:
@@ -422,12 +431,17 @@ class VectorizedSolver:
                 if t_next > t_end:
                     break
                 while heads and heads[0][0] <= t_next:
-                    _, lane = pop(heads)
+                    when, lane = pop(heads)
+                    if when != head[lane]:
+                        continue
                     q = queues[lane]
                     if q and q[0][0] <= t_next:
                         sims[lane].run_until(t_next)
                     if q:
-                        push(heads, (q[0][0], lane))
+                        head[lane] = h = q[0][0]
+                        push(heads, (h, lane))
+                    else:
+                        head[lane] = inf
                 tick(t, t_next)
                 ticks += 1
                 t = t_next

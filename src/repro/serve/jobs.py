@@ -28,8 +28,9 @@ import secrets
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..scenarios.spec import ScenarioSpec
@@ -42,6 +43,11 @@ STATES = ("queued", "running", "done", "failed")
 
 #: events that end an SSE stream (the job can produce nothing after them)
 TERMINAL_EVENTS = ("done", "failed")
+
+#: finished jobs a manager keeps (snapshot, event log, SSE replay); older
+#: ones are forgotten in finishing order, so a long-running server's
+#: memory does not grow with every job it has ever run
+MAX_FINISHED_JOBS = 64
 
 
 class Job:
@@ -150,6 +156,12 @@ class JobManager:
         self._lock = threading.Lock()
         # lint: guarded_by(self._lock: registered/listed from any thread)
         self._jobs: Dict[str, Job] = {}
+        # lint: guarded_by(self._lock: appended by workers, oldest evicted)
+        self._finished: Deque[str] = deque()
+        # lint: guarded_by(self._lock: bumped when a job is forgotten)
+        self._forgotten = 0
+        # lint: guarded_by(self._lock: forgotten jobs' dropped SSE events)
+        self._forgotten_dropped = 0
         self._pool = ThreadPoolExecutor(max_workers=workers,
                                         thread_name_prefix="serve-job")
 
@@ -178,6 +190,14 @@ class JobManager:
         with self._lock:
             return list(self._jobs.values())
 
+    def history(self) -> Tuple[List[Job], int, int]:
+        """``(retained jobs, forgotten job count, SSE events dropped by
+        forgotten jobs)``: every job since start is either retained or
+        forgotten (and forgotten jobs were all finished)."""
+        with self._lock:
+            return (list(self._jobs.values()), self._forgotten,
+                    self._forgotten_dropped)
+
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True)
 
@@ -203,3 +223,18 @@ class JobManager:
         else:
             job.finish(receipt)
             obs.counter("repro_serve_jobs_total", state="done").inc()
+        self._forget_old(job)
+
+    def _forget_old(self, finished: Job) -> None:
+        """Record ``finished`` and forget the oldest finished jobs past
+        :data:`MAX_FINISHED_JOBS` (their followers already hold every
+        event; a later lookup answers 404)."""
+        with self._lock:
+            self._finished.append(finished.id)
+            gone = [self._jobs.pop(self._finished.popleft())
+                    for _ in range(len(self._finished) - MAX_FINISHED_JOBS)]
+            self._forgotten += len(gone)
+        if gone:
+            dropped = sum(job.log.dropped for job in gone)
+            with self._lock:
+                self._forgotten_dropped += dropped

@@ -7,8 +7,9 @@ when keys are configured — see :mod:`repro.serve.auth`):
 ``GET  /v1/health``       liveness probe (unauthenticated)
 ``POST /v1/jobs``         submit a sweep (:mod:`repro.serve.protocol` forms);
                           ``202`` with the job snapshot
-``GET  /v1/jobs``         list job snapshots
-``GET  /v1/jobs/<id>``    one job snapshot
+``GET  /v1/jobs``         list job snapshots (running jobs and the last
+                          ``MAX_FINISHED_JOBS`` finished ones)
+``GET  /v1/jobs/<id>``    one job snapshot (404 once forgotten)
 ``GET  /v1/jobs/<id>/events``  SSE stream: event replay (prefixed by an
                           explicit ``truncated`` marker when the bounded
                           log already evicted early events), then live
@@ -45,6 +46,11 @@ from .protocol import ProtocolError, decode_job
 from .sse import format_event
 
 
+#: largest ``POST /v1/jobs`` body the server reads (413 above it, before
+#: reading anything)
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
 def _route_family(path: str) -> str:
     """Collapse per-job/per-key paths into bounded label values, so the
     request counter cannot grow a series per job id."""
@@ -71,16 +77,19 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:  # type: ignore[attr-defined]
             super().log_message(fmt, *args)
 
-    def _json(self, code: int, payload: Any) -> None:
+    def _json(self, code: int, payload: Any, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # also sets close_connection: the server hangs up after this
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, code: int, message: str) -> None:
-        self._json(code, {"error": message})
+    def _error(self, code: int, message: str, close: bool = False) -> None:
+        self._json(code, {"error": message}, close=close)
 
     def _authorized(self) -> bool:
         if self.server.auth.authorize(self.headers):  # type: ignore
@@ -101,9 +110,10 @@ class _Handler(BaseHTTPRequestHandler):
         obs.counter("repro_serve_requests_total",
                     route=_route_family(path)).inc()
         if path == "/v1/health":
+            jobs, forgotten, _ = manager.history()
             self._json(200, {"ok": True,
                              "open": self.server.auth.open,  # type: ignore
-                             "jobs": len(manager.jobs())})
+                             "jobs": len(jobs) + forgotten})
             return
         if not self._authorized():
             return
@@ -118,11 +128,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if path == "/v1/stats":
             stats = manager.session.cache_stats()
-            jobs = manager.jobs()
+            jobs, forgotten, forgotten_dropped = manager.history()
             stats["jobs"] = {
-                "total": len(jobs),
-                "finished": sum(1 for j in jobs if j.finished),
-                "dropped_events": sum(j.log.dropped for j in jobs),
+                "total": len(jobs) + forgotten,
+                "finished": sum(1 for j in jobs if j.finished) + forgotten,
+                "dropped_events": (sum(j.log.dropped for j in jobs)
+                                   + forgotten_dropped),
             }
             self._json(200, stats)
             return
@@ -155,8 +166,10 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/v1/jobs":
             self._error(404, f"no such route {path!r}")
             return
+        length = self._body_length()
+        if length is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             payload = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, json.JSONDecodeError):
             self._error(400, "request body is not valid JSON")
@@ -168,6 +181,25 @@ class _Handler(BaseHTTPRequestHandler):
             return
         job = self.server.manager.submit(specs, options)  # type: ignore
         self._json(202, job.snapshot())
+
+    def _body_length(self) -> Optional[int]:
+        """The declared body length, or None after answering 400 (not a
+        non-negative integer) or 413 (over :data:`MAX_BODY_BYTES`).  A
+        rejected body is never read, so the connection closes after the
+        error instead of parsing the body as the next request."""
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._error(400, f"invalid Content-Length {raw!r}", close=True)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._error(413, f"request body of {length} bytes exceeds "
+                             f"the {MAX_BODY_BYTES}-byte limit", close=True)
+            return None
+        return length
 
     # ------------------------------------------------------------------
     def _fetch_result(self, key: str, query: dict) -> None:
